@@ -51,6 +51,7 @@ from repro.bench import PRESETS, Scale
 from repro.bench.report import format_table
 from repro.bench import experiments as exp
 from repro.core.adaptive import SYNC_MODES
+from repro.errors import ReproError
 
 #: Figure name -> (experiment callable, wants_scale).
 EXPERIMENTS: Dict[str, tuple] = {
@@ -264,7 +265,6 @@ def _cmd_run(args) -> int:
 def _cmd_trace(args) -> int:
     from repro import obs
     from repro.bench.runner import run_point
-    from repro.errors import WorkloadError
     from repro.registry import get_family
     from repro.workloads.ycsb import WORKLOADS
 
@@ -275,17 +275,13 @@ def _cmd_trace(args) -> int:
     scale = _apply_seed(PRESETS[args.scale], args.seed)
     config = scale.cluster_config(clients=args.clients,
                                   sync_mode=args.sync_mode)
-    try:
-        family = get_family(args.index)
-        with obs.recording() as recorder:
-            result = run_point(args.index, args.workload, scale.num_keys,
-                               args.ops or scale.ops_per_client, config,
-                               chime_overrides=scale.chime_overrides()
-                               if family.accepts_overrides else None,
-                               depth=args.depth)
-    except WorkloadError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    family = get_family(args.index)
+    with obs.recording() as recorder:
+        result = run_point(args.index, args.workload, scale.num_keys,
+                           args.ops or scale.ops_per_client, config,
+                           chime_overrides=scale.chime_overrides()
+                           if family.accepts_overrides else None,
+                           depth=args.depth)
     print(format_table([result.summary()],
                        title=f"{args.index} / YCSB-{args.workload} "
                              f"(scale={scale.name}, seed={scale.seed})"))
@@ -942,15 +938,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         except BrokenPipeError:  # e.g. `python -m repro list | head`
             pass
         return 0
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    return _cmd_run(args)
+    try:
+        if args.command == "trace":
+            return _cmd_trace(args)
+        if args.command == "chaos":
+            return _cmd_chaos(args)
+        if args.command == "perf":
+            return _cmd_perf(args)
+        if args.command == "campaign":
+            return _cmd_campaign(args)
+        return _cmd_run(args)
+    except ReproError as exc:
+        # Bad input or a failed run is the library's typed error; the
+        # user gets its message, not a traceback.
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

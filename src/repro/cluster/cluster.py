@@ -96,8 +96,8 @@ class Cluster:
         """
         if BUS.active and self.engine.trace_hook is None:
             self.engine.trace_hook = (
-                lambda now, events, heap: BUS.emit(
-                    "sim.tick", now, events=events, heap=heap))
+                lambda now, events, queue_depth: BUS.emit(
+                    "sim.tick", now, events=events, queue_depth=queue_depth))
         elif not BUS.active:
             self.engine.trace_hook = None
         return self.engine.run(until=until, clamp=clamp)

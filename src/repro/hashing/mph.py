@@ -77,31 +77,38 @@ class MinimalPerfectHash:
 
     def _build(self, keys: Sequence[int]) -> bool:
         """One construction attempt under ``self.seed``; False on failure."""
+        mix = _mix
+        seed = self.seed
+        num_slots = self.num_slots
         buckets: Dict[int, List[int]] = {}
         for key in keys:
             buckets.setdefault(self._bucket_of(key), []).append(key)
-        taken = [False] * self.num_slots
+        taken = bytearray(num_slots)
         # Largest buckets place first, while free slots are plentiful.
         for bucket, members in sorted(
             buckets.items(), key=lambda kv: (-len(kv[1]), kv[0])
         ):
             for displacement in range(1, _MAX_DISPLACEMENT):
-                slots = [
-                    _mix(key, self.seed + displacement) % self.num_slots
-                    for key in members
-                ]
-                if len(set(slots)) == len(slots) and not any(
-                    taken[slot] for slot in slots
-                ):
+                # Accept the salt iff every member lands on a free slot
+                # no earlier member chose; reject at the first that
+                # does not, without hashing the rest.
+                salt = seed + displacement
+                slots: List[int] = []
+                for key in members:
+                    slot = mix(key, salt) % num_slots
+                    if taken[slot] or slot in slots:
+                        break
+                    slots.append(slot)
+                else:
                     for slot in slots:
-                        taken[slot] = True
+                        taken[slot] = 1
                     self._displacements[bucket] = displacement
                     break
             else:
                 if len(members) == 1:
                     # A lone key can always take a free slot directly.
-                    slot = taken.index(False)
-                    taken[slot] = True
+                    slot = taken.index(0)
+                    taken[slot] = 1
                     self._displacements[bucket] = _MAX_DISPLACEMENT + slot
                     continue
                 return False

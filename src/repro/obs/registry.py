@@ -87,7 +87,8 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, fraction: float) -> float:
-        """Upper bound of the bucket holding the *fraction* quantile."""
+        """Upper bound of the bucket holding the *fraction* quantile,
+        clamped to the largest observed value."""
         if not self.count:
             return 0.0
         rank = max(1, int(fraction * self.count))
@@ -96,7 +97,7 @@ class Histogram:
             seen += bucket_count
             if seen >= rank:
                 if index < len(self.bounds):
-                    return self.bounds[index]
+                    return min(self.bounds[index], self.max)
                 return self.max
         return self.max
 
@@ -220,8 +221,8 @@ class MetricsCollector:
             registry.counter(kind).inc()
         elif kind == "sim.tick":
             registry.gauge("sim.events").set(data["events"])
-            registry.histogram("sim.heap", _QUEUE_BUCKETS).observe(
-                data["heap"])
+            registry.histogram("sim.queue_depth", _QUEUE_BUCKETS).observe(
+                data["queue_depth"])
         elif kind == "span":
             duration_us = (data["end"] - data["begin"]) * 1e6
             registry.histogram(f"span.{data['name']}.us").observe(duration_us)

@@ -7,6 +7,7 @@ and the functional contract of the two landed families (Outback,
 FlexKV) including the CAS endianness regression.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -36,7 +37,7 @@ from repro.core.access import (
 )
 from repro.errors import SimulationError
 from repro.faults.invariants import check_index_invariants
-from repro.hashing.mph import MinimalPerfectHash
+from repro.hashing.mph import _MAX_DISPLACEMENT, MinimalPerfectHash
 
 
 def make_cluster(**overrides):
@@ -250,6 +251,48 @@ class TestMinimalPerfectHash:
     def test_routing_bytes_tracks_buckets(self):
         mph = MinimalPerfectHash(list(range(1, 401)), keys_per_bucket=4)
         assert mph.routing_bytes == 2 * mph.num_buckets
+
+    # sha256 of repr((seed, _displacements)) as built by the original
+    # CHD search, which hashed every bucket member under each candidate
+    # salt before testing any of them.  A later build must give the same
+    # tables; any change that moves a slot changes a digest.  The fallback
+    # and retry inputs came from one-off scans of dense key sets 1..n,
+    # taking the first input that hit each path: retry over
+    # keys_per_bucket (1, 2, 4) x n (50, 100, 200, 400) x seeds 0..39;
+    # fallback over n (1000, 2000, 3000, 5000) x keys_per_bucket (1, 2)
+    # x seeds 0..5.
+    GOLDEN_TABLES = {
+        # case: (keys, seed, keys_per_bucket, digest)
+        # PERF_SCALE's dense keys at OutbackConfig.mph_seed.
+        "perf-scale": (
+            range(1, 8001), 17, 4,
+            "726f301c4c7ac88e08d8202c94bd90ca98b2eee1b2b444fd2869367d66f65a8a"),
+        "dense-3000": (
+            range(1, 3001), 5, 4,
+            "b2d90fcee61f2b4599645f25b72103acd5bb0298f12633770818875cb52889f5"),
+        "strided": (
+            range(7, 14001, 7), 3, 4,
+            "871fb2ea178be8137bed4ddce64d9b4c4f6f192f903f7c7733e53c5a4a960240"),
+        "direct-slot-fallback": (
+            range(1, 5001), 5, 1,
+            "2d24f8446a320a5816103bec680610f99cb18bb43f53af0df19045fd322accea"),
+        "seed-retry": (
+            range(1, 51), 28, 4,
+            "58c1fcefad1f961762aac6f97e50d2f6a54db302de014dcacf55c56a6d3fabd9"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_TABLES))
+    def test_golden_tables(self, case):
+        keys, seed, keys_per_bucket, digest = self.GOLDEN_TABLES[case]
+        keys = list(keys)
+        mph = MinimalPerfectHash(keys, seed=seed,
+                                 keys_per_bucket=keys_per_bucket)
+        table = repr((mph.seed, mph._displacements)).encode()
+        assert hashlib.sha256(table).hexdigest() == digest
+        mph.check_perfect(keys)
+        fallbacks = sum(d >= _MAX_DISPLACEMENT for d in mph._displacements)
+        assert (fallbacks > 0) == (case == "direct-slot-fallback")
+        assert (mph.seed > seed) == (case == "seed-retry")
 
 
 # ---------------------------------------------------------------------------

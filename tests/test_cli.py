@@ -23,6 +23,13 @@ class TestCli:
     def test_unknown_figure(self, capsys):
         assert main(["run", "fig999"]) == 2
 
+    def test_library_error_is_clean(self, capsys):
+        # A ReproError from a subcommand prints one line, no traceback.
+        assert main(["chaos", "--index", "sherman"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ") and "sherman" in err
+        assert "Traceback" not in err
+
     def test_run_analytic_figure(self, capsys):
         assert main(["run", "fig16"]) == 0
         out = capsys.readouterr().out

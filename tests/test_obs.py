@@ -103,12 +103,21 @@ class TestHistogram:
             hist.observe(0.5)
         hist.observe(3.0)
         assert hist.quantile(0.50) == 1.0
-        assert hist.quantile(1.00) == 4.0
+        # The 3.0 observation's bucket edge is 4.0, clamped to the max.
+        assert hist.quantile(1.00) == 3.0
 
     def test_overflow_quantile_is_max(self):
         hist = Histogram("h", bounds=(1.0,))
         hist.observe(100.0)
         assert hist.quantile(0.99) == 100.0
+
+    def test_quantile_never_exceeds_max(self):
+        # A traced span.search once printed p99 = 32.0 us (its bucket
+        # edge) against a max of 31.12 us.
+        hist = Histogram("span.search.us")
+        for _ in range(100):
+            hist.observe(31.12)
+        assert hist.quantile(0.99) == 31.12 == hist.max
 
     def test_unsorted_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -129,7 +138,7 @@ class TestRegistry:
         assert snap["obs.hits"] == 3
         assert snap["obs.depth"] == 2.0
         assert snap["obs.lat.count"] == 1
-        assert snap["obs.lat.p99"] == 10.0
+        assert snap["obs.lat.p99"] == 4.0  # bucket edge 10.0, clamped
 
     def test_collector_folds_events(self):
         bus = EventBus()
@@ -322,6 +331,8 @@ class TestIntegration:
         # metrics snapshot landed in RunResult.notes
         assert result.notes.get("obs.verb.read", 0) > 0
         assert "obs.span.search.us.count" in result.notes
+        # engine progress samples fold into the event-queue depth
+        assert result.notes.get("obs.sim.queue_depth.count", 0) > 0
 
     def test_notes_empty_without_recording(self):
         config = ClusterConfig(num_cns=1, clients_per_cn=2,
