@@ -25,8 +25,8 @@ from repro.registry import build_index, get_family
 from repro.sched import launch_clients, resolve_depth
 from repro.workloads.ycsb import WORKLOADS, WorkloadContext, dataset
 
-__all__ = ["KV_DISCRETE", "build_index", "load_index", "prepare_point",
-           "run_point", "run_workload"]
+__all__ = ["KV_DISCRETE", "build_index", "load_index", "run_point",
+           "run_workload"]
 
 #: Index names that store leaf items discretely (no bulk-ordered leaves).
 #: Derived from the registry's ``kv_discrete`` capability flag; kept as a
@@ -125,20 +125,17 @@ def run_workload(cluster: Cluster, index, workload_name: str,
     return result
 
 
-def prepare_point(index_name: str, workload_name: str, num_keys: int,
-                  ops_per_client: int, cluster_config: ClusterConfig,
-                  value_size: int = 8, span: Optional[int] = None,
-                  neighborhood: Optional[int] = None,
-                  theta: float = 0.99,
-                  chime_overrides: Optional[dict] = None,
-                  key_space: int = 0,
-                  unlimited_cache_for: Optional[Sequence[str]] = None,
-                  ):
-    """Build cluster + index + loaded workload for one measurement point.
-
-    Returns ``(cluster, index, context)`` ready for :func:`run_workload`
-    (or the partitioned executor's windowed drive, which replays exactly
-    this construction in every partition process).
+def run_point(index_name: str, workload_name: str, num_keys: int,
+              ops_per_client: int, cluster_config: ClusterConfig,
+              value_size: int = 8, span: Optional[int] = None,
+              neighborhood: Optional[int] = None,
+              theta: float = 0.99,
+              chime_overrides: Optional[dict] = None,
+              key_space: int = 0,
+              unlimited_cache_for: Optional[Sequence[str]] = None,
+              depth: Optional[int] = None,
+              ) -> RunResult:
+    """Build cluster + index + workload and run one measurement point.
 
     ``unlimited_cache_for`` defaults to the registry's
     ``unlimited_cache`` capability (historically the hardcoded
@@ -164,44 +161,6 @@ def prepare_point(index_name: str, workload_name: str, num_keys: int,
                          * cluster_config.total_clients) + 64)
     context.expected_insert_budget = total_inserts
     load_index(index, pairs, workload_name, context)
-    return cluster, index, context
-
-
-def run_point(index_name: str, workload_name: str, num_keys: int,
-              ops_per_client: int, cluster_config: ClusterConfig,
-              value_size: int = 8, span: Optional[int] = None,
-              neighborhood: Optional[int] = None,
-              theta: float = 0.99,
-              chime_overrides: Optional[dict] = None,
-              key_space: int = 0,
-              unlimited_cache_for: Optional[Sequence[str]] = None,
-              depth: Optional[int] = None,
-              partitions: Optional[int] = None,
-              ) -> RunResult:
-    """Build cluster + index + workload and run one measurement point.
-
-    *partitions* (explicit > ``REPRO_PARTITIONS`` > 1) routes the run
-    through the space-partitioned executor: ``N`` partition processes
-    mirror the cluster, advance in lockstep lookahead windows, and merge
-    metrics deterministically — byte-identical to the serial path (see
-    :mod:`repro.bench.partition`).
-    """
-    from repro.bench.partition import resolve_partitions
-    if resolve_partitions(partitions) > 1:
-        from repro.bench.partition import run_point_partitioned
-        return run_point_partitioned(
-            index_name, workload_name, num_keys, ops_per_client,
-            cluster_config, resolve_partitions(partitions),
-            depth=depth, annotate=False, value_size=value_size,
-            span=span, neighborhood=neighborhood, theta=theta,
-            chime_overrides=chime_overrides, key_space=key_space,
-            unlimited_cache_for=unlimited_cache_for)
-    cluster, index, context = prepare_point(
-        index_name, workload_name, num_keys, ops_per_client,
-        cluster_config, value_size=value_size, span=span,
-        neighborhood=neighborhood, theta=theta,
-        chime_overrides=chime_overrides, key_space=key_space,
-        unlimited_cache_for=unlimited_cache_for)
     result = run_workload(cluster, index, workload_name, ops_per_client,
                           context, depth=depth)
     result.index_name = index_name

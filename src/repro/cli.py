@@ -167,17 +167,11 @@ def _cmd_run(args) -> int:
         return 2
     scale = _apply_seed(PRESETS[args.scale], args.seed)
     if args.jobs is not None:
-        if args.jobs < 1:
-            print("--jobs must be >= 1", file=sys.stderr)
-            return 2
         # Sweeps read the worker count from the environment (via
         # repro.bench.parallel.resolve_jobs), so one flag covers every
         # figure the selected run touches.
         os.environ["REPRO_JOBS"] = str(args.jobs)
     if args.depth is not None:
-        if args.depth < 1:
-            print("--depth must be >= 1", file=sys.stderr)
-            return 2
         # Same pattern as --jobs: run_workload reads the pipeline depth
         # from the environment (via repro.sched.resolve_depth), so one
         # flag covers every point the selected figures run.
@@ -189,15 +183,6 @@ def _cmd_run(args) -> int:
         # inherit it.
         from repro.bench.scale import SYNC_MODE_ENV
         os.environ[SYNC_MODE_ENV] = args.sync_mode
-    if args.partitions is not None:
-        if args.partitions < 1:
-            print("--partitions must be >= 1", file=sys.stderr)
-            return 2
-        # Same pattern once more: run_point resolves the partition count
-        # through the environment (repro.bench.partition), so one flag
-        # space-partitions every single run the selected figures make.
-        from repro.bench.partition import PARTITIONS_ENV
-        os.environ[PARTITIONS_ENV] = str(args.partitions)
     # Sharding knobs ride the same environment channel so every point
     # the selected figures run (including sweep worker processes) sees
     # them via Scale.cluster_config.
@@ -208,9 +193,6 @@ def _cmd_run(args) -> int:
         SHARDS_ENV,
     )
     if args.num_mns is not None:
-        if args.num_mns < 1:
-            print("--num-mns must be >= 1", file=sys.stderr)
-            return 2
         os.environ[NUM_MNS_ENV] = str(args.num_mns)
     if args.shards is not None:
         if args.shards < 0:
@@ -315,12 +297,6 @@ def _cmd_perf(args) -> int:
                  f"{sweep['parallel_wall_s']}s, {sweep['speedup']}x")
     print(line + f"; chaos {report['chaos']['wall_s']}s "
                  f"{'OK' if report['chaos']['ok'] else 'FAILED'}]")
-    partitioned = report.get("partitioned")
-    if partitioned is not None:
-        print(f"[partitioned ({partitioned['index']}, "
-              f"{partitioned['partitions']} partitions): "
-              f"{partitioned['wall_s']}s, "
-              f"{'serial-identical' if partitioned['matches_serial'] else 'DIVERGED FROM SERIAL'}]")
     depth_sweep = report.get("depth_sweep", {})
     parts = [f"depth={p['depth']}: {p['sim_throughput_mops']} Mops"
              for p in depth_sweep.values() if isinstance(p, dict)]
@@ -388,7 +364,7 @@ def _cmd_chaos(args) -> int:
     from repro.faults import ChaosConfig, run_chaos
 
     overrides: dict = {"seed": args.seed, "lock_leases": not args.no_leases}
-    if args.index:
+    if args.index is not None:
         overrides["index"] = args.index
     if args.sync_mode is not None:
         overrides["sync_mode"] = args.sync_mode
@@ -403,20 +379,20 @@ def _cmd_chaos(args) -> int:
                              crash_nth=nth, crash_when=when)
         else:
             overrides["crash_owner"] = ""
-    if args.loss:
+    if args.loss is not None:
         overrides["loss_probability"] = args.loss
-    if args.delay:
+    if args.delay is not None:
         overrides["delay_probability"] = args.delay
-    if args.lease_duration:
+    if args.lease_duration is not None:
         overrides["lease_duration"] = _parse_time(args.lease_duration)
-    if args.max_attempts:
+    if args.max_attempts is not None:
         overrides["max_attempts"] = args.max_attempts
-    if args.ops:
+    if args.ops is not None:
         overrides["ops_per_client"] = args.ops
-    if args.keys:
+    if args.keys is not None:
         overrides["initial_keys"] = args.keys
         overrides["key_space"] = args.keys * 2
-    if args.depth:
+    if args.depth is not None:
         overrides["pipeline_depth"] = args.depth
     outages = []
     for spec in args.outage or ():
@@ -461,17 +437,6 @@ def _cmd_chaos(args) -> int:
     if migrations:
         overrides["migrations"] = tuple(migrations)
     cfg = ChaosConfig(**overrides)
-    if args.partitions is not None and args.partitions > 1:
-        from repro.bench.partition import run_chaos_partitioned
-        payload = run_chaos_partitioned(cfg, args.partitions)
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        ok = payload["invariants"]["ok"] and not payload["errors"]
-        print(f"[chaos ({args.partitions} partitions, cross-checked): "
-              f"{'OK' if ok else 'FAILED'} — "
-              f"{len(payload['invariants']['violations'])} violations, "
-              f"{len(payload['errors'])} client errors, "
-              f"dead CNs {payload['dead_cns']}]", file=sys.stderr)
-        return 0 if ok else 1
     result = run_chaos(cfg)
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     ok = result.invariants.ok and not result.errors
@@ -649,6 +614,28 @@ def _cmd_campaign(args) -> int:
     return 1 if regressed else 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (counts of clients, ops, MNs...)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    """argparse type: a float in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -678,11 +665,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_parser.add_argument("--trace", default=None, metavar="PATH",
                             help="record per-op phase spans and write a "
                                  "Chrome trace-event JSON file")
-    run_parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    run_parser.add_argument("--jobs", type=_positive_int, default=None,
+                            metavar="N",
                             help="worker processes for sweep points "
                                  "(default: $REPRO_JOBS or cores-1; "
                                  "1 = serial; forced serial with --trace)")
-    run_parser.add_argument("--depth", type=int, default=None, metavar="D",
+    run_parser.add_argument("--depth", type=_positive_int, default=None,
+                            metavar="D",
                             help="op coroutines per client "
                                  "(default: $REPRO_DEPTH or 1 = the "
                                  "strictly serial client loop)")
@@ -691,13 +680,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="lock synchronization mode "
                                  "(default: $REPRO_SYNC_MODE or "
                                  "optimistic)")
-    run_parser.add_argument("--partitions", type=int, default=None,
-                            metavar="N",
-                            help="space-partition every single run over "
-                                 "N processes (lockstep lookahead "
-                                 "windows, byte-identical to serial; "
-                                 "default: $REPRO_PARTITIONS or 1)")
-    run_parser.add_argument("--num-mns", type=int, default=None,
+    run_parser.add_argument("--num-mns", type=_positive_int, default=None,
                             metavar="M",
                             help="memory nodes per cluster "
                                  "(default: $REPRO_NUM_MNS or the "
@@ -726,13 +709,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     trace_parser.add_argument("--scale", default="quick",
                               choices=sorted(PRESETS),
                               help="scaling preset (default: quick)")
-    trace_parser.add_argument("--clients", type=int, default=None,
+    trace_parser.add_argument("--clients", type=_positive_int, default=None,
                               help="total client count (default: preset)")
-    trace_parser.add_argument("--ops", type=int, default=None,
+    trace_parser.add_argument("--ops", type=_positive_int, default=None,
                               help="ops per client (default: preset)")
     trace_parser.add_argument("--seed", type=int, default=None,
                               help="override the preset's RNG seed")
-    trace_parser.add_argument("--depth", type=int, default=None,
+    trace_parser.add_argument("--depth", type=_positive_int, default=None,
                               metavar="D",
                               help="op coroutines per client (default: "
                                    "$REPRO_DEPTH or 1)")
@@ -778,32 +761,28 @@ def main(argv: Optional[List[str]] = None) -> int:
                                    "(demonstrates the orphaned-lock hang)")
     chaos_parser.add_argument("--lease-duration", default=None,
                               metavar="DUR", help="lease window, e.g. 250us")
-    chaos_parser.add_argument("--loss", type=float, default=0.0,
+    chaos_parser.add_argument("--loss", type=_probability, default=None,
                               help="per-verb loss probability")
-    chaos_parser.add_argument("--delay", type=float, default=0.0,
+    chaos_parser.add_argument("--delay", type=_probability, default=None,
                               help="per-verb latency-spike probability")
     chaos_parser.add_argument("--outage", action="append", metavar="SPEC",
                               help="MN outage 'MN:START:END' (repeatable), "
                                    "e.g. '0:100us:300us'")
-    chaos_parser.add_argument("--max-attempts", type=int, default=None,
+    chaos_parser.add_argument("--max-attempts", type=_positive_int,
+                              default=None,
                               help="retry budget per operation")
-    chaos_parser.add_argument("--ops", type=int, default=None,
+    chaos_parser.add_argument("--ops", type=_positive_int, default=None,
                               help="ops per client")
-    chaos_parser.add_argument("--keys", type=int, default=None,
+    chaos_parser.add_argument("--keys", type=_positive_int, default=None,
                               help="bulk-loaded key count")
-    chaos_parser.add_argument("--depth", type=int, default=None,
+    chaos_parser.add_argument("--depth", type=_positive_int, default=None,
                               metavar="D",
                               help="op coroutines per client (default: 1)")
-    chaos_parser.add_argument("--partitions", type=int, default=None,
-                              metavar="N",
-                              help="mirror the campaign over N lockstep "
-                                   "partition processes and cross-check "
-                                   "the results are byte-identical")
     chaos_parser.add_argument("--sync-mode", default=None,
                               choices=SYNC_MODES,
                               help="lock synchronization mode "
                                    "(default: optimistic)")
-    chaos_parser.add_argument("--num-mns", type=int, default=None,
+    chaos_parser.add_argument("--num-mns", type=_positive_int, default=None,
                               metavar="M",
                               help="memory nodes (default: $REPRO_NUM_MNS "
                                    "or 1)")

@@ -32,14 +32,11 @@ KNOWN_ENV_VARS = frozenset(
         "REPRO_DEPTH",           # sched: op coroutines per client
         "REPRO_JOBS",            # bench.parallel: sweep worker count
         "REPRO_NUM_MNS",         # bench.scale: memory node count
-        "REPRO_PARTITIONS",      # bench.partition: partition processes
-        "REPRO_PARTITION_WINDOW",  # bench.partition: lookahead factor
         "REPRO_PLACEMENT",       # baselines.flexkv: cn / mn / auto
         "REPRO_REBALANCE",       # bench.scale: hot-shard rebalancer
         "REPRO_SCALE",           # bench.scale: preset name
         "REPRO_SEED",            # bench.scale: RNG seed override
         "REPRO_SHARDS",          # bench.scale: key-space shard count
-        "REPRO_SIM_QUEUE",       # sim.engine: event queue implementation
         "REPRO_SYNC_MODE",       # bench.scale: lock synchronization mode
     }
 )

@@ -6,13 +6,10 @@ expressed as events on the :class:`~repro.sim.engine.Engine`.
 """
 
 from repro.sim.engine import (
-    QUEUE_ENV,
     AllOf,
     AnyOf,
-    CalendarQueue,
     Engine,
     Event,
-    HeapQueue,
     Interrupted,
     Process,
     Timeout,
@@ -23,14 +20,11 @@ from repro.sim.resources import Lock, QueueServer, Store
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Engine",
     "Event",
-    "HeapQueue",
     "Interrupted",
     "Lock",
     "Process",
-    "QUEUE_ENV",
     "QueueServer",
     "Store",
     "Timeout",

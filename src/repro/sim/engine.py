@@ -10,26 +10,14 @@ exactly reproducible from its seed).
 
 Scheduling is strictly ordered by ``(time, sequence)`` so two events at
 the same timestamp trigger in the order they were scheduled.  Simulated
-time is a float in **seconds**.
-
-Two interchangeable scheduling structures implement that order:
-
-* :class:`CalendarQueue` (the default) — a bucketed calendar queue.
-  Near-future events (the short-horizon NIC timeouts that dominate RDMA
-  traffic) land in per-tick buckets with O(1) amortized insert; only the
-  current tick is kept heap-ordered.  Bucket width resizes automatically
-  from the observed event density, and sparse far-future events simply
-  become singleton buckets — the structure degenerates gracefully into a
-  plain heap of tick indexes, which is its far-future fallback.
-* :class:`HeapQueue` — the original single binary heap, kept selectable
-  (``Engine(queue="heap")`` or ``REPRO_SIM_QUEUE=heap``) so golden tests
-  can assert the two produce byte-identical event sequences.
+time is a float in **seconds**.  The engine keeps one binary heap of
+``(time, sequence, event)`` entries and pops it inline in
+:meth:`Engine.run`.
 """
 
 from __future__ import annotations
 
-import os
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import inf
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
@@ -38,11 +26,7 @@ from repro.errors import SimulationError
 #: Type alias for the generator type processes are written as.
 ProcessGenerator = Generator["Event", Any, Any]
 
-#: Environment variable selecting the scheduling structure ("calendar"
-#: or "heap") when the Engine is constructed without an explicit choice.
-QUEUE_ENV = "REPRO_SIM_QUEUE"
-
-#: One queue entry: ``(time, sequence, event)``.  Sequence numbers are
+#: One heap entry: ``(time, sequence, event)``.  Sequence numbers are
 #: unique, so tuple comparison never reaches the (uncomparable) event.
 Entry = Tuple[float, int, "Event"]
 
@@ -96,11 +80,13 @@ class Event:
             raise SimulationError("event triggered twice")
         self._triggered = True
         self._value = value
-        # Inlined Engine._queue_callbacks — this is the hottest call in
-        # the simulator (every completion, resume, and chained event).
+        # Callbacks run when the heap entry is popped: queued at the
+        # current time, they run in deterministic scheduling order, not
+        # re-entrantly.  The hottest call in the simulator (every
+        # completion, resume, and chained event), so the push is inline.
         engine = self.engine
         engine._sequence = sequence = engine._sequence + 1
-        engine._push((engine._now, sequence, self))
+        heappush(engine._heap, (engine._now, sequence, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -113,7 +99,7 @@ class Event:
         self._exception = exception
         engine = self.engine
         engine._sequence = sequence = engine._sequence + 1
-        engine._push((engine._now, sequence, self))
+        heappush(engine._heap, (engine._now, sequence, self))
         return self
 
 
@@ -127,7 +113,7 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        # Flattened Event.__init__ + Engine._schedule_at: one Timeout per
+        # Flattened Event.__init__ + heap push: one Timeout per
         # NIC latency hop makes this the hottest constructor in the
         # simulator.  A non-negative delay can never schedule in the past.
         self.engine = engine
@@ -137,7 +123,7 @@ class Timeout(Event):
         self._triggered = False
         self._cancelled = False
         engine._sequence = sequence = engine._sequence + 1
-        engine._push((engine._now + delay, sequence, self))
+        heappush(engine._heap, (engine._now + delay, sequence, self))
 
     def cancel(self) -> None:
         """Tombstone the timer: it will never fire.
@@ -379,196 +365,12 @@ class Interrupted(Exception):
         self.cause = cause
 
 
-class HeapQueue:
-    """The original event queue: one binary heap of ``(time, seq, event)``.
-
-    Kept as the reference implementation — golden tests assert the
-    calendar queue reproduces its pop order byte-for-byte.
-    """
-
-    __slots__ = ("_heap",)
+class Engine:
+    """The event loop over one ``(time, seq)``-ordered binary heap."""
 
     def __init__(self) -> None:
-        self._heap: List[Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, entry: Entry) -> None:
-        heappush(self._heap, entry)
-
-    def pop_due(self, bound: float) -> Optional[Entry]:
-        """Pop and return the next entry with ``time <= bound``, if any."""
-        heap = self._heap
-        if not heap or heap[0][0] > bound:
-            return None
-        return heappop(heap)
-
-
-class CalendarQueue:
-    """A bucketed calendar queue ordered by ``(time, seq)``.
-
-    Time is divided into *ticks* of ``width`` seconds.  Entries for the
-    tick currently draining live in a small binary heap (``_current``);
-    entries for future ticks are appended unordered to per-tick buckets
-    in a dict, each bucket heapified only when its tick becomes current.
-    A heap of pending tick indexes finds the next non-empty tick in
-    O(log days); sparse far-future events therefore cost exactly what
-    they would in a plain heap (their bucket is a singleton) — that heap
-    of ticks *is* the far-future fallback.
-
-    The bucket width adapts automatically: every ``_ADAPT_DAYS`` tick
-    advances, the observed mean entries-per-tick is compared against a
-    target band and the queue rebuilds itself with a wider (too sparse —
-    pops were paying tick-advance overhead) or narrower (too dense — the
-    current-tick heap was doing all the work) width.
-    """
-
-    __slots__ = ("_width", "_inv_width", "_day", "_current", "_days",
-                 "_ticks", "_count", "_adv_days", "_adv_entries")
-
-    #: Initial tick width in seconds.  RDMA service times and latencies
-    #: sit in the nanosecond-to-microsecond range, so start there and
-    #: let adaptation settle the rest.
-    DEFAULT_WIDTH = 1e-6
-    #: Rebuild bounds: keep mean entries-per-drained-tick inside
-    #: [_TARGET_LO, _TARGET_HI], checked every _ADAPT_DAYS advances.
-    _ADAPT_DAYS = 256
-    _TARGET_LO = 2.0
-    _TARGET_HI = 48.0
-    _MIN_WIDTH = 1e-12
-    _MAX_WIDTH = 1.0
-
-    def __init__(self, width: float = DEFAULT_WIDTH) -> None:
-        if width <= 0:
-            raise SimulationError(f"bucket width must be positive: {width}")
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._day = 0                 # tick index currently draining
-        self._current: List[Entry] = []    # heap: entries with tick <= _day
-        self._days: dict = {}         # tick -> unordered future bucket
-        self._ticks: List[int] = []   # heap of keys of _days
-        self._count = 0
-        self._adv_days = 0
-        self._adv_entries = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def width(self) -> float:
-        """Current bucket width in seconds (adapts over time)."""
-        return self._width
-
-    def push(self, entry: Entry) -> None:
-        tick = int(entry[0] * self._inv_width)
-        if tick <= self._day:
-            heappush(self._current, entry)
-        else:
-            bucket = self._days.get(tick)
-            if bucket is None:
-                self._days[tick] = [entry]
-                heappush(self._ticks, tick)
-            else:
-                bucket.append(entry)
-        self._count += 1
-
-    def pop_due(self, bound: float) -> Optional[Entry]:
-        """Pop and return the next entry with ``time <= bound``, if any."""
-        current = self._current
-        if not current:
-            if not self._ticks:
-                return None
-            self._advance()
-            current = self._current
-        entry = current[0]
-        if entry[0] > bound:
-            return None
-        heappop(current)
-        self._count -= 1
-        return entry
-
-    def _advance(self) -> None:
-        """Make the earliest pending tick current (and maybe adapt).
-
-        ``_current`` is mutated in place (never rebound) so the engine's
-        hot loop can hold a direct reference to the list across advances.
-        """
-        tick = heappop(self._ticks)
-        bucket = self._days.pop(tick)
-        self._day = tick
-        current = self._current
-        current.extend(bucket)
-        if len(current) > 1:
-            heapify(current)
-        self._adv_days += 1
-        self._adv_entries += len(bucket)
-        if self._adv_days >= self._ADAPT_DAYS:
-            self._maybe_resize()
-
-    def _maybe_resize(self) -> None:
-        mean = self._adv_entries / self._adv_days
-        self._adv_days = 0
-        self._adv_entries = 0
-        if mean < self._TARGET_LO:
-            width = self._width * 8.0
-        elif mean > self._TARGET_HI:
-            width = self._width / 8.0
-        else:
-            return
-        width = min(max(width, self._MIN_WIDTH), self._MAX_WIDTH)
-        if width != self._width:
-            self._rebuild(width)
-
-    def _rebuild(self, width: float) -> None:
-        """Redistribute every entry under a new bucket width."""
-        entries = list(self._current)
-        for bucket in self._days.values():
-            entries.extend(bucket)
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._days = {}
-        self._ticks = []
-        current = self._current
-        current.clear()  # in place: the hot loop holds a reference
-        if not entries:
-            return
-        inv = self._inv_width
-        floor_tick = min(int(e[0] * inv) for e in entries)
-        self._day = floor_tick
-        days = self._days
-        ticks = self._ticks
-        for entry in entries:
-            tick = int(entry[0] * inv)
-            if tick <= floor_tick:
-                current.append(entry)
-            else:
-                bucket = days.get(tick)
-                if bucket is None:
-                    days[tick] = [entry]
-                    heappush(ticks, tick)
-                else:
-                    bucket.append(entry)
-        heapify(current)
-
-
-def _resolve_queue(queue: Optional[str]):
-    """Instantiate the scheduling structure *queue* names."""
-    name = queue or os.environ.get(QUEUE_ENV, "").strip() or "calendar"
-    if name == "calendar":
-        return CalendarQueue()
-    if name == "heap":
-        return HeapQueue()
-    raise SimulationError(f"unknown event queue implementation: {name!r}")
-
-
-class Engine:
-    """The event loop over a pluggable ``(time, seq)``-ordered queue."""
-
-    def __init__(self, queue: Optional[str] = None) -> None:
         self._now = 0.0
-        self._queue = _resolve_queue(queue)
-        self._push = self._queue.push  # bound once: schedule hot path
+        self._heap: List[Entry] = []
         self._sequence = 0
         self._pending_crash: Optional[BaseException] = None
         #: Observability hook: when set, called as ``hook(now, processed,
@@ -579,36 +381,13 @@ class Engine:
         self.events_processed = 0
         #: Debug hook: when set to a list, every processed event appends
         #: ``(time, type name)`` — the raw material of the golden
-        #: event-sequence equality tests.  Costs one None-check per event.
+        #: event-log digest tests.  Costs one None-check per event.
         self.event_log: Optional[List[Tuple[float, str]]] = None
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def queue_impl(self) -> str:
-        """Name of the active scheduling structure."""
-        return "heap" if isinstance(self._queue, HeapQueue) else "calendar"
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live (non-tombstoned) event, or None."""
-        queue = self._queue
-        skipped: List[Entry] = []
-        found = None
-        while True:
-            entry = queue.pop_due(inf)
-            if entry is None:
-                break
-            if entry[2]._cancelled:
-                continue
-            found = entry[0]
-            skipped.append(entry)
-            break
-        for entry in skipped:
-            queue.push(entry)
-        return found
 
     # -- factory helpers ----------------------------------------------------
 
@@ -632,60 +411,25 @@ class Engine:
         """Event that fires when the first of *events* triggers."""
         return AnyOf(self, events)
 
-    def wakeup(self, fire: Callable[[], None]) -> Wakeup:
-        """Create a reusable scheduled callback (see :class:`Wakeup`)."""
-        return Wakeup(fire)
-
-    def schedule_wakeup(self, when: float, wakeup: Wakeup) -> None:
-        """Schedule *wakeup* to fire at absolute time *when*."""
-        self._schedule_at(when, wakeup)  # type: ignore[arg-type]
-
-    # -- scheduling ---------------------------------------------------------
-
-    def _schedule_at(self, when: float, event: Event) -> None:
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule event in the past ({when} < {self._now})")
-        self._sequence += 1
-        self._push((when, self._sequence, event))
-
-    def _queue_callbacks(self, event: Event) -> None:
-        # Callbacks run when the queue entry is popped.  Events triggered
-        # explicitly (succeed/fail) are queued at the current time so their
-        # callbacks run in deterministic scheduling order, not re-entrantly.
-        self._sequence += 1
-        self._push((self._now, self._sequence, event))
+    # -- running ------------------------------------------------------------
 
     def _crash(self, exc: BaseException) -> None:
         if self._pending_crash is None:
             self._pending_crash = exc
 
-    def run(self, until: Optional[float] = None,
-            clamp: bool = True) -> float:
-        """Run until the queue drains or simulated time reaches *until*.
+    def run(self, until: Optional[float] = None) -> float:
+        """Run until the heap drains or simulated time reaches *until*.
 
         Returns the simulated time at which the run stopped.  Re-raises
         the first uncaught exception from any process nobody was waiting
-        on.  With ``clamp=False`` the clock is left at the last processed
-        event instead of being bumped to *until* — the windowed drive
-        mode the partitioned executor uses, so a run chopped into
-        lookahead windows ends at exactly the same time as an unchopped
-        one.
+        on.
         """
-        queue = self._queue
-        pop_due = queue.pop_due
+        heap = self._heap
         bound = inf if until is None else until
-        # The calendar queue's pop is inlined into the loop (the current
-        # tick's heap is mutated in place, so one binding survives tick
-        # advances); other queue types go through pop_due.  Saves a
-        # Python method call per processed event on the hot path.  The
-        # processed counter runs in a local and is written back on every
-        # exit (the ``finally``), so nothing observes a stale count after
-        # the loop; hooks are rebound locally too — they are configured
-        # before a run, never from inside one.
-        inline = type(queue) is CalendarQueue
-        if inline:
-            current = queue._current
+        # The processed counter runs in a local and is written back on
+        # every exit (the ``finally``), so nothing observes a stale count
+        # after the loop; hooks are rebound locally too — they are
+        # configured before a run, never from inside one.
         processed = self.events_processed
         interval = self.trace_interval
         trace_hook = self.trace_hook
@@ -696,22 +440,10 @@ class Engine:
                 if self._pending_crash is not None:
                     exc, self._pending_crash = self._pending_crash, None
                     raise exc
-                if inline:
-                    if not current:
-                        if not queue._ticks:
-                            break
-                        queue._advance()
-                    entry = current[0]
-                    if entry[0] > bound:
-                        break
-                    heappop(current)
-                    queue._count -= 1
-                else:
-                    entry = pop_due(bound)
-                    if entry is None:
-                        break
-                event = entry[2]
-                self._now = entry[0]
+                if not heap or heap[0][0] > bound:
+                    break
+                now, _, event = heappop(heap)
+                self._now = now
                 if event._fires_by_time:
                     if event._cancelled:
                         continue  # tombstoned timer: discard, do not count
@@ -721,12 +453,11 @@ class Engine:
                         if quiet:
                             continue
                         if event_log is not None:
-                            event_log.append((self._now,
-                                              type(event).__name__))
+                            event_log.append((now, type(event).__name__))
                         if trace_hook is not None and \
                                 processed % interval == 0:
                             self.events_processed = processed
-                            trace_hook(self._now, processed, len(queue))
+                            trace_hook(now, processed, len(heap))
                         continue
                     if not event._triggered:
                         event._triggered = True  # fires by reaching its time
@@ -738,13 +469,13 @@ class Engine:
                 if quiet:
                     continue
                 if event_log is not None:
-                    event_log.append((self._now, type(event).__name__))
+                    event_log.append((now, type(event).__name__))
                 if trace_hook is not None and processed % interval == 0:
                     self.events_processed = processed
-                    trace_hook(self._now, processed, len(queue))
+                    trace_hook(now, processed, len(heap))
         finally:
             self.events_processed = processed
-        if until is not None and clamp and until > self._now:
+        if until is not None and until > self._now:
             self._now = until
         if self._pending_crash is not None:
             exc, self._pending_crash = self._pending_crash, None

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -91,7 +92,7 @@ class _Slot:
             self.start_time = now
             engine = server.engine
             engine._sequence = sequence = engine._sequence + 1
-            engine._push((now + service_time, sequence, self.wakeup))
+            heappush(engine._heap, (now + service_time, sequence, self.wakeup))
         else:
             server._idle.append(self)
 
@@ -164,7 +165,7 @@ class QueueServer:
         slot.service_time = service_time
         slot.start_time = now
         engine._sequence = sequence = engine._sequence + 1
-        engine._push((now + service_time, sequence, slot.wakeup))
+        heappush(engine._heap, (now + service_time, sequence, slot.wakeup))
 
     def busy_time_until(self, now: float) -> float:
         """Completed busy time plus the in-flight portion as of *now*.

@@ -475,8 +475,14 @@ class TestKnownEnvVars:
             "REPRO_DETPH": "4",
             "PATH": "/usr/bin",
             "REPRO_BOGUS": "x",
+            # Knobs of removed subsystems are stale settings now.
+            "REPRO_PARTITIONS": "2",
+            "REPRO_PARTITION_WINDOW": "64",
+            "REPRO_SIM_QUEUE": "heap",
         }
-        assert unknown_env_vars(environ) == ["REPRO_BOGUS", "REPRO_DETPH"]
+        assert unknown_env_vars(environ) == [
+            "REPRO_BOGUS", "REPRO_DETPH", "REPRO_PARTITIONS",
+            "REPRO_PARTITION_WINDOW", "REPRO_SIM_QUEUE"]
 
     def test_all_known_names_have_repro_prefix(self):
         assert all(name.startswith("REPRO_") for name in KNOWN_ENV_VARS)

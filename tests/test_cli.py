@@ -30,6 +30,30 @@ class TestCli:
         assert err.startswith("repro: ") and "sherman" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--depth", "0"],
+        ["trace", "--clients", "0"],
+        ["trace", "--ops", "-3"],
+        ["chaos", "--num-mns", "0"],
+        ["chaos", "--depth", "0"],
+        ["chaos", "--ops", "0"],
+        ["chaos", "--keys", "0"],
+        ["chaos", "--max-attempts", "0"],
+        ["chaos", "--loss", "1.5"],
+        ["run", "fig3d", "--jobs", "0"],
+        ["run", "fig3d", "--depth", "0"],
+        ["run", "fig3d", "--num-mns", "0"],
+    ])
+    def test_bad_count_is_a_usage_error(self, argv, capsys):
+        # Rejected by the argument parser: exit 2, one usage line naming
+        # the flag, never a traceback or a silently ignored value.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[-2] in err
+        assert "Traceback" not in err
+
     def test_run_analytic_figure(self, capsys):
         assert main(["run", "fig16"]) == 0
         out = capsys.readouterr().out

@@ -1,29 +1,23 @@
-"""Golden + property tests for the calendar-queue event loop.
+"""Golden event-log digests for the single-heap event loop.
 
-The load-bearing guarantee of the queue swap: the calendar queue and
-the legacy binary heap produce **byte-identical event sequences** — not
-just equal counts — for every registry family.  The golden tests run
-identically seeded clusters under both queue implementations with the
-engine's ``event_log`` enabled and compare the full ``(time, type)``
-sequences, plus every observable metric.
-
-The property tests race :class:`~repro.sim.engine.CalendarQueue`
-against a plain ``heapq`` reference on seeded workloads chosen to cross
-tick boundaries, trigger width adaptation rebuilds, and exercise the
-far-future tick heap.
+The engine pops one ``(time, seq, event)`` binary heap, so two events
+at the same timestamp fire in scheduling order.  These tests pin that
+order end to end: for one seeded run per registry family they compare
+the sha256 of the engine's full ``(time, type)`` event log, plus the
+event count, final clock, completed ops and latency samples, against
+values recorded before the engine was reduced to one heap.  Any change
+to tie-breaking, scheduling or dispatch order moves a digest.
 """
 
-import heapq
-import random
+import hashlib
 
 import pytest
 
 from repro.bench.runner import build_index, load_index
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
-from repro.registry import family_names
 from repro.sched import launch_clients
-from repro.sim import QUEUE_ENV, CalendarQueue, Engine, HeapQueue, Interrupted
+from repro.sim import Engine, Interrupted
 from repro.workloads.ycsb import WORKLOADS, WorkloadContext, dataset
 
 NUM_KEYS = 300
@@ -31,12 +25,10 @@ OPS = 30
 SEED = 11
 
 
-def _golden_run(index_name: str, workload: str, queue: str, monkeypatch):
-    """One fully seeded run under the named queue; returns observables."""
-    monkeypatch.setenv(QUEUE_ENV, queue)
+def _golden_run(index_name: str, workload: str):
+    """One fully seeded run; returns its observables."""
     config = ClusterConfig(num_cns=2, clients_per_cn=2, seed=SEED)
     cluster = Cluster(config)
-    assert cluster.engine.queue_impl == queue
     index = build_index(index_name, cluster)
     pairs = dataset(NUM_KEYS, key_space=0, seed=SEED)
     spec = WORKLOADS[workload]
@@ -53,105 +45,52 @@ def _golden_run(index_name: str, workload: str, queue: str, monkeypatch):
         "now": cluster.engine.now,
         "ops": run.ops_completed,
         "latencies": run.latencies,
-        "traffic": cluster.traffic_totals(),
     }
 
 
-class TestCalendarGoldenEquality:
-    @pytest.mark.parametrize("index_name",
-                             sorted(set(family_names())
-                                    & {"chime", "sherman", "rolex",
-                                       "smart"}))
-    def test_calendar_matches_heap_event_sequence(self, index_name,
-                                                  monkeypatch):
-        heap = _golden_run(index_name, "A", "heap", monkeypatch)
-        calendar = _golden_run(index_name, "A", "calendar", monkeypatch)
-        assert calendar["log"] == heap["log"]
-        assert calendar["events"] == heap["events"]
-        assert calendar["now"] == heap["now"]
-        assert calendar["ops"] == heap["ops"]
-        assert calendar["latencies"] == heap["latencies"]
-        assert calendar["traffic"] == heap["traffic"]
-
-    def test_default_queue_is_calendar(self, monkeypatch):
-        monkeypatch.delenv(QUEUE_ENV, raising=False)
-        assert Engine().queue_impl == "calendar"
-
-    def test_unknown_queue_rejected(self, monkeypatch):
-        monkeypatch.setenv(QUEUE_ENV, "wheel")
-        from repro.errors import SimulationError
-        with pytest.raises(SimulationError):
-            Engine()
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-def _drain(queue, bound=float("inf")):
-    out = []
-    while True:
-        entry = queue.pop_due(bound)
-        if entry is None:
-            return out
-        out.append(entry)
+#: (family, workload) -> pinned observables of :func:`_golden_run`:
+#: sha256 of ``repr(event_log)``, event count, final clock (as
+#: ``float.hex``), completed ops, and sha256 of ``repr(latencies)``.
+GOLDEN = {
+    ("chime", "A"): (
+        "c92efd5e778406e73d91eedbd1e75247577c2594a2f753a7f3fbfc9d6e60187f",
+        2014, "0x1.d8dd913d1720cp-13", 120,
+        "97bc9cf4d373559c0fff8edefc5a73af6a1543a38016febe4153285df8d45e48"),
+    ("sherman", "A"): (
+        "9cba0d1b4cf745dd970012baefb5cdb3a6051609153ca105da3175daa38730c6",
+        1972, "0x1.d04ae574fdaa8p-13", 120,
+        "3354e2e0f1802f8f15a4b05e7cf5ddb417b40159b26cc3a156eed269738801ce"),
+    ("rolex", "A"): (
+        "84456f051d409ee7244df44281c31d14da4bc6bf8cf7f6cfcf0f5868ff6c90f7",
+        3431, "0x1.1e9d29ccb2d2ep-12", 120,
+        "01aec19d7944fa3ab8e7d4232b46b9c1f57510f4d5ecae163ebb52398c3097d8"),
+    ("smart", "A"): (
+        "00280b511d7d8eb39ac3f955b883aa9b9cdf29fdc55cbe43d091007134cd7c5e",
+        2612, "0x1.553cc0eb7f74bp-12", 120,
+        "c3c4a8488a6b2be3f826c0a6289d5cb3623e864a7c57c769048ab092acbf1090"),
+    ("outback", "C"): (
+        "2e53933503fcf6d1c658d617137f1a0dc9517cfb95bb5ff5f8dff5e70a5b32df",
+        968, "0x1.7bb07a86aedb7p-14", 120,
+        "c6aa0aec4ca76e37cccc89262310996ba44eed9718b025e5276e2e6d44088234"),
+}
 
 
-class TestCalendarQueueProperties:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_pop_order_matches_heapq_reference(self, seed):
-        rng = random.Random(seed)
-        queue = CalendarQueue()
-        reference = []
-        # Magnitudes spanning sub-tick bursts to far-future stragglers,
-        # so pushes hit the current tick, dense buckets, and the
-        # sparse tick heap.
-        for sequence in range(2000):
-            scale = rng.choice([1e-9, 1e-7, 1e-6, 1e-4, 1e-1, 2.0])
-            entry = (rng.random() * scale, sequence, None)
-            queue.push(entry)
-            heapq.heappush(reference, entry)
-        assert len(queue) == len(reference)
-        popped = _drain(queue)
-        assert popped == [heapq.heappop(reference)
-                          for _ in range(len(reference))]
-        assert len(queue) == 0
-
-    def test_interleaved_push_pop_stays_ordered(self):
-        rng = random.Random(99)
-        queue = CalendarQueue()
-        reference = []
-        now = 0.0
-        for sequence in range(3000):
-            if reference and rng.random() < 0.45:
-                expect = heapq.heappop(reference)
-                got = queue.pop_due(float("inf"))
-                assert got == expect
-                now = got[0]
-            else:
-                entry = (now + rng.random() * rng.choice([1e-7, 1e-3]),
-                         sequence, None)
-                queue.push(entry)
-                heapq.heappush(reference, entry)
-        assert _drain(queue) == [heapq.heappop(reference)
-                                 for _ in range(len(reference))]
-
-    def test_pop_due_respects_bound(self):
-        queue = CalendarQueue()
-        for sequence, when in enumerate([1e-6, 2e-6, 5e-6]):
-            queue.push((when, sequence, None))
-        assert [e[0] for e in _drain(queue, bound=2e-6)] == [1e-6, 2e-6]
-        assert len(queue) == 1
-
-    def test_width_adapts_under_dense_load(self):
-        queue = CalendarQueue()
-        start = queue.width
-        rng = random.Random(5)
-        # ~60 entries per initial-width tick across >256 ticks: past the
-        # upper target band for a full adaptation period, so the queue
-        # must narrow its width.
-        entries = sorted((rng.random() * 1e-3, sequence, None)
-                         for sequence in range(60000))
-        for entry in entries:
-            queue.push(entry)
-        assert _drain(queue) == entries
-        assert queue.width < start
+class TestGoldenEventLog:
+    @pytest.mark.parametrize("index_name,workload", sorted(GOLDEN))
+    def test_event_log_digest(self, index_name, workload):
+        log_sha, events, now_hex, ops, latencies_sha = \
+            GOLDEN[(index_name, workload)]
+        run = _golden_run(index_name, workload)
+        assert run["events"] == events
+        assert len(run["log"]) == events
+        assert run["now"] == float.fromhex(now_hex)
+        assert run["ops"] == ops
+        assert _sha256(run["latencies"]) == latencies_sha
+        assert _sha256(run["log"]) == log_sha
 
 
 class TestTimeoutCancel:
@@ -168,13 +107,6 @@ class TestTimeoutCancel:
         assert keeper.triggered
         # The tombstone is discarded without being counted as an event.
         assert engine.events_processed == 1
-
-    def test_peek_time_skips_tombstones(self):
-        engine = Engine()
-        early = engine.timeout(1e-6)
-        engine.timeout(4e-6)
-        early.cancel()
-        assert engine.peek_time() == pytest.approx(4e-6)
 
     def test_cancel_after_trigger_is_refused(self):
         engine = Engine()
