@@ -539,9 +539,6 @@ def _cmd_campaign(args) -> int:
         if not plan.cells:
             print("empty campaign matrix", file=sys.stderr)
             return 2
-        if args.jobs is not None and args.jobs < 1:
-            print("--jobs must be >= 1", file=sys.stderr)
-            return 2
         with CampaignStore(args.db) as store:
             from repro.xpmt import run_campaign
             summary = run_campaign(store, plan, jobs=args.jobs,
@@ -614,15 +611,24 @@ def _cmd_campaign(args) -> int:
     return 1 if regressed else 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (counts of clients, ops, MNs...)."""
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (counts of clients, ops, MNs...)."""
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0 (budgets where 0 means none)."""
+    return _int_at_least(text, 0)
 
 
 def _probability(text: str) -> float:
@@ -737,7 +743,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     perf_parser.add_argument("--baseline", default="BENCH_perf.json",
                              metavar="PATH",
                              help="baseline file (default: BENCH_perf.json)")
-    perf_parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    perf_parser.add_argument("--jobs", type=_positive_int, default=None,
+                             metavar="N",
                              help="worker processes for the sweep stage "
                                   "(default: $REPRO_JOBS or cores-1)")
     perf_parser.add_argument("--out", default=None, metavar="PATH",
@@ -829,18 +836,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     crun.add_argument("--clients", default="", metavar="N,M",
                       help="comma-separated client counts "
                            "(default: the preset's operating point)")
-    crun.add_argument("--depth", type=int, default=1, metavar="D",
+    crun.add_argument("--depth", type=_positive_int, default=1, metavar="D",
                       help="pipeline depth pinned per point (default: 1)")
     crun.add_argument("--value-size", type=int, default=8, metavar="B")
     crun.add_argument("--theta", type=float, default=0.99,
                       help="zipf skew for A-style workloads")
-    crun.add_argument("--span", type=int, default=None)
-    crun.add_argument("--neighborhood", type=int, default=None)
+    crun.add_argument("--span", type=_positive_int, default=None)
+    crun.add_argument("--neighborhood", type=_positive_int, default=None)
     crun.add_argument("--sync-mode", default="optimistic",
                       choices=SYNC_MODES,
                       help="lock synchronization mode pinned per point "
                            "(default: optimistic)")
-    crun.add_argument("--num-mns", type=int, default=1, metavar="M",
+    crun.add_argument("--num-mns", type=_positive_int, default=1,
+                      metavar="M",
                       help="memory nodes pinned per point; > 1 shards "
                            "the key space one sub-tree per MN "
                            "(default: 1)")
@@ -853,7 +861,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="index placement pinned per point; read by "
                            "placement-aware families such as flexkv "
                            "(default: auto)")
-    crun.add_argument("--seeds", type=int, default=3, metavar="N",
+    crun.add_argument("--seeds", type=_positive_int, default=3, metavar="N",
                       help="replicates per cell (default: 3)")
     crun.add_argument("--seed-base", type=int, default=None, metavar="S",
                       help="first replicate seed (default: preset seed)")
@@ -861,10 +869,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="override the preset's dataset size")
     crun.add_argument("--ops", type=int, default=None,
                       help="override the preset's ops per client")
-    crun.add_argument("--jobs", type=int, default=None, metavar="N",
+    crun.add_argument("--jobs", type=_positive_int, default=None,
+                      metavar="N",
                       help="worker processes (default: $REPRO_JOBS "
                            "or cores-1)")
-    crun.add_argument("--limit", type=int, default=None, metavar="K",
+    crun.add_argument("--limit", type=_non_negative_int, default=None,
+                      metavar="K",
                       help="execute at most K missing points this "
                            "invocation (budget valve)")
 

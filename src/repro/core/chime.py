@@ -59,12 +59,7 @@ from repro.core.node_layout import (
     unpack_lock_word,
 )
 from repro.core.nodes import LeafNodeView
-from repro.core.sync import (
-    check_entry_evs,
-    check_nv_uniform,
-    collect_leaf_nv,
-    reconstruct_bitmap,
-)
+from repro.core.sync import decode_entries, reconstruct_bitmap
 from repro.errors import (
     FaultInjectedError,
     HashTableFullError,
@@ -454,16 +449,17 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
                 if value is not None:
                     return OpResult(_DONE, found=True, value=value)
         for _hop in range(MAX_CHASE):
-            view = yield from self._read_neighborhood_checked(leaf_addr, home)
-            sibling, valid = self._replica_info(view, home)
+            view, entries = yield from self._read_neighborhood_checked(
+                leaf_addr, home)
+            sibling = self._replica_sibling(view, home)
             mismatch = expected is not None and sibling != expected
             if from_cache and mismatch and ref.parent is not None:
                 self.ctx.cache.invalidate(ref.parent.addr)
-            position = self._find_in_neighborhood(view, home, key)
+            position = entries.find(key)
             if position is not None:
-                entry = view.entry(position)
                 self.hotspots.record_access(leaf_addr, position, key)
-                return OpResult(_DONE, found=True, value=entry.value)
+                return OpResult(_DONE, found=True,
+                                value=entries.value(position))
             # Not found: half-split validation (§4.2.3).
             if from_cache and mismatch:
                 return OpResult(_RETRAVERSE)
@@ -481,19 +477,17 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
         segment = (layout.entry_offset(record.key_index), layout.entry_size)
         view = yield from self._fetch_leaf(leaf_addr, [segment])
         try:
-            check_nv_uniform(collect_leaf_nv(view, [record.key_index]))
-            check_entry_evs(view, [record.key_index])
+            entries = decode_entries(view, (record.key_index,), 2)
         except TornReadError:
             self.ops.stats.retries += 1  # torn speculation: fall back
             return None
-        entry = view.entry(record.key_index)
-        if entry.occupied and entry.key == key:
+        if key and entries.keys[0] == key:
             self.hotspots.correct_speculations += 1
             self.hotspots.record_access(leaf_addr, record.key_index, key)
             if BUS.active:
                 BUS.emit("speculative.correct", self.engine.now,
                          leaf_addr=leaf_addr)
-            return entry.value
+            return entries.value(record.key_index)
         self.hotspots.wrong_speculations += 1
         if BUS.active:
             BUS.emit("speculative.wrong", self.engine.now,
@@ -587,7 +581,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
         view, position, _spec_hit = yield from self._locate_entry_locked(
             leaf_addr, home, key, allow_speculative=not delete)
         if position is None:
-            sibling, _valid = self._replica_info(view, home)
+            sibling = self._replica_sibling(view, home)
             mismatch = expected is not None and sibling != expected
             yield from self._unlock_remote(guard.lock_addr,
                                            guard.release_word())
@@ -1165,8 +1159,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
                                      self.ctx.rng)
             while retry.check():
                 try:
-                    nv_values = collect_leaf_nv(view, range(layout.span))
-                    check_nv_uniform(nv_values)
+                    decode_entries(view, range(layout.span), 1)
                     break
                 except TornReadError:
                     self.ops.stats.retries += 1
@@ -1178,9 +1171,9 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
 
     # ---------------------------------------------------------------- shared plumbing
 
-    def _replica_info(self, view: LeafNodeView, home: int) -> Tuple[int, bool]:
-        block = self.chime.covered_replica_block(home)
-        return view.replica_sibling(block), view.replica_valid(block)
+    def _replica_sibling(self, view: LeafNodeView, home: int) -> int:
+        """Sibling pointer of the replica a neighborhood read carries."""
+        return view.replica_sibling(self.chime.covered_replica_block(home))
 
     def _range_replica_block(self, first: int, last: int) -> int:
         """The replica carried by a :meth:`LeafLayout.range_segments` read."""

@@ -13,12 +13,7 @@ from __future__ import annotations
 from typing import Generator, Optional, Sequence, Tuple
 
 from repro.core.nodes import LeafNodeView
-from repro.core.sync import (
-    check_entry_evs,
-    check_hopscotch_bitmap,
-    check_nv_uniform,
-    collect_leaf_nv,
-)
+from repro.core.sync import decode_entries
 from repro.errors import FaultInjectedError, TornReadError
 from repro.layout import StripedSpan
 from repro.layout.versions import SpanSet, raw_span
@@ -72,10 +67,12 @@ class HopscotchLeafOpsMixin:
 
     def _read_neighborhood_checked(self, leaf_addr: int,
                                    home: int) -> Generator:
-        """Neighborhood read + the three-level optimistic checks."""
-        layout = self.layout
-        indices = [(home + o) % layout.span
-                   for o in range(layout.neighborhood)]
+        """Neighborhood read + the three-level optimistic checks.
+
+        Returns ``(view, entries)``: the fetched view (replica fields)
+        and its checked :class:`~repro.core.sync.DecodedEntries`.
+        """
+        positions = self.layout.neighborhoods[home]
         # CHIME clients carry an index-level RetryPolicy; the learned
         # variant (no B-tree base) falls back to the default.
         policy = getattr(self, "retry", None) or DEFAULT_RETRY_POLICY
@@ -86,23 +83,14 @@ class HopscotchLeafOpsMixin:
             try:
                 view = yield from self._fetch_neighborhood_view(leaf_addr,
                                                                 home)
-                check_nv_uniform(collect_leaf_nv(view, indices))
-                check_entry_evs(view, indices)
-                check_hopscotch_bitmap(view, home, self.home_of)
-                return view
+                return view, decode_entries(view, positions, 3,
+                                            self.home_of)
             except (TornReadError, FaultInjectedError):
                 self.ops.stats.retries += 1
                 yield from retry.backoff()
 
     def _find_in_neighborhood(self, view: LeafNodeView, home: int,
                               key: int) -> Optional[int]:
-        """Locate *key* among the entries flagged by the home bitmap."""
-        layout = self.layout
-        bitmap = view.entry_bitmap(home)
-        span = layout.span
-        for offset in range(layout.neighborhood):
-            if bitmap & (1 << offset):
-                pos = (home + offset) % span
-                if view.entry_key(pos) == key:
-                    return pos
-        return None
+        """Locate *key* among the entries flagged by the home bitmap of
+        a view fetched under the leaf lock (no checks)."""
+        return decode_entries(view, self.layout.neighborhoods[home]).find(key)

@@ -231,25 +231,24 @@ class LearnedChimeClient(HopscotchLeafOpsMixin):
             views = []
             for leaf_index in candidates:
                 leaf_addr = self.index.leaf_addrs[leaf_index]
-                view = yield from self._read_neighborhood_checked(leaf_addr,
-                                                                  home)
-                views.append((leaf_addr, view))
-            for leaf_addr, view in views:
-                position = self._find_in_neighborhood(view, home, key)
+                view, entries = yield from self._read_neighborhood_checked(
+                    leaf_addr, home)
+                views.append((leaf_addr, view, entries))
+            for leaf_addr, view, entries in views:
+                position = entries.find(key)
                 if position is not None:
-                    return view.entry(position).value
+                    return entries.value(position)
                 block = self.index.covered_block(home)
                 low, high = view.replica_fences(block)
                 if low <= key < high:
                     covering = leaf_addr
                     synonym = view.replica_sibling(block)
                     while synonym != NULL_ADDR:
-                        syn_view = yield from self._read_neighborhood_checked(
-                            synonym, home)
-                        position = self._find_in_neighborhood(syn_view, home,
-                                                              key)
+                        syn_view, syn_entries = yield from \
+                            self._read_neighborhood_checked(synonym, home)
+                        position = syn_entries.find(key)
                         if position is not None:
-                            return syn_view.entry(position).value
+                            return syn_entries.value(position)
                         synonym = syn_view.replica_sibling(block)
             if covering is not None or not candidates:
                 return None
@@ -288,7 +287,8 @@ class LearnedChimeClient(HopscotchLeafOpsMixin):
         block = self.index.covered_block(home)
         for leaf_index in self.index.candidate_leaves(key):
             leaf_addr = self.index.leaf_addrs[leaf_index]
-            view = yield from self._read_neighborhood_checked(leaf_addr, home)
+            view, _entries = yield from self._read_neighborhood_checked(
+                leaf_addr, home)
             low, high = view.replica_fences(block)
             if low <= key < high:
                 return leaf_addr

@@ -233,9 +233,9 @@ class LeafLayout:
     replicated: bool = True
     fence_keys: bool = False
 
-    # Sizes and per-entry offsets are precomputed once in
-    # ``__post_init__`` — layouts are immutable and ``entry_offset`` is
-    # on the path of every simulated entry access.
+    # Sizes, per-entry offsets and neighborhood positions are
+    # precomputed once in ``__post_init__`` — layouts are immutable and
+    # these are on the path of every simulated entry access.
     def __post_init__(self) -> None:
         if self.replicated and self.span % self.neighborhood:
             raise LayoutError(
@@ -272,22 +272,19 @@ class LeafLayout:
             offsets = tuple(replica_size + index * entry_size
                             for index in range(self.span))
         set_attr(self, "_entry_offsets", offsets)
-        # Per-entry raw coordinates for the EV consistency check, which
-        # runs for every entry of every fetched neighborhood: the entry's
-        # raw offset (its leading version byte) and the [first, end) raw
-        # range of line version bytes covered by its span.
+        # Per entry, the [first, stop) numbers of the cache lines whose
+        # version byte falls inside the entry's raw span (its EV copies
+        # besides the entry's own version byte).
         ppl = versions.PAYLOAD_PER_LINE
-        line_size = versions.LINE
-        ev_ranges = []
-        for off in offsets:
-            line = off // ppl
-            raw_off = line * line_size + 1 + (off - line * ppl)
-            last = off + entry_size - 1
-            line = last // ppl
-            raw_end = line * line_size + 2 + (last - line * ppl)
-            first_line = ((raw_off + line_size - 1) // line_size) * line_size
-            ev_ranges.append((raw_off, first_line, raw_end))
-        set_attr(self, "_entry_ev_ranges", tuple(ev_ranges))
+        set_attr(self, "_entry_lines", tuple(
+            (off // ppl + 1, (off + entry_size - 1) // ppl + 1)
+            for off in offsets))
+        # Entry positions of each home's neighborhood, in offset order
+        # (what every neighborhood read decodes and checks).
+        set_attr(self, "neighborhoods", tuple(
+            tuple((home + offset) % self.span
+                  for offset in range(self.neighborhood))
+            for home in range(self.span)))
 
     # -- positions --------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from repro.layout import (
     pack_version,
     unpack_version,
 )
-from repro.layout.versions import LINE, bump_nibble
+from repro.layout.versions import bump_nibble
 from repro.memory.region import NULL_ADDR
 
 
@@ -271,25 +271,15 @@ class LeafNodeView:
         return self._parse_entry(index, data, layout)
 
     @staticmethod
-    def _parse_entry(index: int, data: bytes,
-                     layout: LeafLayout) -> LeafEntry:
+    def _parse_entry(index: int, data: bytes, layout: LeafLayout,
+                     offset: int = 0) -> LeafEntry:
+        """Decode the entry whose bytes start at *offset* of *data*."""
         # Positional construction — keyword passing measurably slows the
         # hottest parse in the simulator.
-        return LeafEntry(index, data[0], decode_u16(data, 1),
-                         decode_key(data, 3),
-                         decode_value(data, 3 + layout.key_size,
+        return LeafEntry(index, data[offset], decode_u16(data, offset + 1),
+                         decode_key(data, offset + 3),
+                         decode_value(data, offset + layout.entry_off_value,
                                       size=layout.value_size))
-
-    def entry_key(self, index: int) -> int:
-        """Just the key of one entry (0 means empty) — no LeafEntry parse."""
-        layout = self.layout
-        return decode_key(self.span.read_logical(
-            layout._entry_offsets[index] + 3, layout.key_size))
-
-    def entry_bitmap(self, index: int) -> int:
-        """Just the hopscotch bitmap word of one entry."""
-        return decode_u16(self.span.read_logical(
-            self.layout._entry_offsets[index] + 1, 2))
 
     def write_entry(self, index: int, key: int, value: int,
                     bitmap: Optional[int] = None,
@@ -330,25 +320,10 @@ class LeafNodeView:
         self.span.bump_entry_versions(off, layout.entry_size)
 
     def entry_evs(self, index: int) -> List[int]:
-        """All EV nibbles within one entry's span (for consistency checks)."""
-        layout = self.layout
-        span = self.span
-        raw_off, first, end = layout._entry_ev_ranges[index]
-        if type(span) is StripedSpan:
-            # Contiguous image covering the entry: read the nibbles
-            # straight out of the buffer via the precomputed raw
-            # coordinates (this check runs for every entry of every
-            # fetched neighborhood).
-            base = span.base
-            data = span.data
-            if raw_off >= base and end <= base + len(data):
-                values = [data[raw_off - base] & 0xF]
-                values.extend([data[pos - base] & 0xF
-                               for pos in range(first, end, LINE)])
-                return values
-        off = layout._entry_offsets[index]
-        values = [span.payload_byte(off) & 0xF]
-        values.extend(span.entry_ev_nibbles(off, layout.entry_size))
+        """All EV nibbles within one entry's span."""
+        off = self.layout.entry_offset(index)
+        values = [self.span.payload_byte(off) & 0xF]
+        values.extend(self.span.entry_ev_nibbles(off, self.layout.entry_size))
         return values
 
     def entry_nv(self, index: int) -> int:
@@ -420,10 +395,3 @@ class LeafNodeView:
         for index in range(self.layout.span):
             self.span.write_logical(self.layout.entry_offset(index),
                                     bytes([byte]))
-
-    def nv_values(self) -> List[int]:
-        """NV nibbles of line bytes + entry bytes present in this span."""
-        values = list(self.span.nv_nibbles())
-        # Entry bytes only for entries fully inside the span; partial
-        # views use per-entry accessors instead.
-        return values

@@ -12,16 +12,22 @@ lock-free reader does with a fetched span:
    equal the bitmap reconstructed from the actual keys fetched, else the
    read interleaved with an in-flight hop (§4.1.2).
 
-A failed check raises :class:`~repro.errors.TornReadError`; operations
-catch it and retry with backoff.
+:func:`decode_entries` de-stripes the fetched bytes once, decodes the
+entries, and runs as many of the three levels as the caller asks for
+on what it decoded.  A failed check raises
+:class:`~repro.errors.TornReadError`; operations catch it and retry
+with backoff.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.nodes import LeafNodeView
-from repro.errors import TornReadError
+from repro.core.node_layout import LeafLayout
+from repro.core.nodes import LeafEntry, LeafNodeView
+from repro.errors import LayoutError, TornReadError
+from repro.layout import decode_key, decode_u16, decode_value
+from repro.layout.versions import SpanSet
 from repro.obs.bus import BUS
 from repro.retry import DEFAULT_RETRY_POLICY
 
@@ -52,33 +58,131 @@ def backoff_delay(attempt: int, rng=None, jitter: float = 0.0) -> float:
     return delay
 
 
-def check_nv_uniform(nv_values: Iterable[int]) -> None:
-    """Level 1: all node-level version nibbles must match."""
-    values = set(nv_values)
-    if len(values) > 1:
-        if BUS.active:
-            BUS.emit("sync.torn", level=1)
-        raise TornReadError(f"node-level versions disagree: {sorted(values)}")
+class DecodedEntries(NamedTuple):
+    """Leaf entries decoded from one fetch, in the order they were asked for.
+
+    An immutable value: it holds its own de-striped copy of the fetched
+    bytes, so later edits of the view it was decoded from (write paths
+    compose their write-back in that view) never show through.
+    """
+
+    layout: LeafLayout
+    #: Entry positions, in the order given to :func:`decode_entries`.
+    positions: Tuple[int, ...]
+    #: Key of each position (0 = empty).
+    keys: Tuple[int, ...]
+    #: Hopscotch bitmap stored in the first position's entry (the home
+    #: entry, for a neighborhood).
+    bitmap: int
+    #: Per position: (de-striped segment payload, entry offset in it).
+    slots: Tuple[Tuple[bytes, int], ...]
+
+    def find(self, key: int) -> Optional[int]:
+        """Position of *key* among the entries the home bitmap flags."""
+        bitmap = self.bitmap
+        for offset, stored in enumerate(self.keys):
+            if bitmap >> offset & 1 and stored == key:
+                return self.positions[offset]
+        return None
+
+    def value(self, position: int) -> int:
+        payload, rel = self.slots[self.positions.index(position)]
+        layout = self.layout
+        return decode_value(payload, rel + layout.entry_off_value,
+                            size=layout.value_size)
+
+    def entry(self, position: int) -> LeafEntry:
+        payload, rel = self.slots[self.positions.index(position)]
+        return LeafNodeView._parse_entry(position, payload, self.layout, rel)
 
 
-def check_entry_evs(view: LeafNodeView, indices: Sequence[int]) -> None:
-    """Level 2: EV nibbles within each fetched entry must match."""
-    for index in indices:
-        evs = view.entry_evs(index)
-        first = evs[0]
-        for ev in evs:
-            if ev != first:
-                if BUS.active:
-                    BUS.emit("sync.torn", level=2)
-                raise TornReadError(
-                    f"entry {index} entry-level versions disagree: "
-                    f"{sorted(set(evs))}")
+def _torn(level: int, message: str) -> TornReadError:
+    if BUS.active:
+        BUS.emit("sync.torn", level=level)
+    return TornReadError(message)
+
+
+def decode_entries(view: LeafNodeView, positions: Sequence[int],
+                   levels: int = 0,
+                   hash_home: Optional[Callable[[int], int]] = None
+                   ) -> DecodedEntries:
+    """Decode the entries at *positions* of a fetched leaf, checking it.
+
+    Each fetched segment is de-striped once; each entry's version byte,
+    bitmap and key are read from that copy once.  *levels* says how many
+    of the three checks run, always in priority order (NV, then EV,
+    then bitmap), so the first failing level is the one reported:
+
+    * 0 — none (lock holders: nobody else writes their leaf);
+    * 1 — node-level versions (full-leaf scans);
+    * 2 — plus entry-level versions (single-entry speculative reads);
+    * 3 — plus the hopscotch bitmap; *positions* must then be the
+      neighborhood of ``positions[0]`` in offset order and *hash_home*
+      maps a key to its home.
+    """
+    layout = view.layout
+    span = view.span
+    segments = [part.destripe() for part in
+                (span.spans if type(span) is SpanSet else (span,))]
+    size = layout.entry_size
+    offsets = layout._entry_offsets
+    keys = []
+    slots = []
+    owners = []  # the segment each entry was found in
+    for position in positions:
+        off = offsets[position]
+        for segment in segments:
+            rel = off - segment[0]
+            if 0 <= rel <= len(segment[1]) - size:
+                break
+        else:
+            raise LayoutError(
+                f"leaf entry {position} is not inside any fetched segment")
+        payload = segment[1]
+        keys.append(decode_key(payload, rel + 3))
+        slots.append((payload, rel))
+        owners.append(segment)
+    head_payload, head_rel = slots[0]
+    bitmap = decode_u16(head_payload, head_rel + 1)
+    if levels:
+        nvs = {byte >> 4 for segment in segments for byte in segment[3]}
+        nvs.update([payload[rel] >> 4 for payload, rel in slots])
+        if len(nvs) > 1:
+            raise _torn(1, f"node-level versions disagree: {sorted(nvs)}")
+    if levels > 1:
+        entry_lines = layout._entry_lines
+        for position, (payload, rel), segment in zip(positions, slots,
+                                                     owners):
+            lo, hi = entry_lines[position]
+            if lo == hi:
+                continue  # no line starts inside this entry
+            ev = payload[rel] & 0xF
+            first = segment[2]
+            copies = segment[3][lo - first:hi - first]
+            for byte in copies:
+                if byte & 0xF != ev:
+                    evs = sorted({ev} | {byte & 0xF for byte in copies})
+                    raise _torn(2, f"entry {position} entry-level "
+                                   f"versions disagree: {evs}")
+    if levels > 2:
+        home = positions[0]
+        actual = 0
+        for offset, key in enumerate(keys):
+            if key and hash_home(key) == home:
+                actual |= 1 << offset
+        if bitmap != actual:
+            raise _torn(3, f"hopscotch bitmap of home {home} is "
+                           f"{bitmap:#06x}, keys say {actual:#06x} "
+                           f"(in-flight hop)")
+    return DecodedEntries(layout, tuple(positions), tuple(keys), bitmap,
+                          tuple(slots))
 
 
 def reconstruct_bitmap(view: LeafNodeView, home: int,
                        hash_home) -> int:
     """Rebuild status(keys): which neighborhood entries hold keys whose
-    home is *home*, from the actual fetched keys."""
+    home is *home*, from the keys of a full image (lock-steal repair and
+    the structural invariants; readers use :func:`decode_entries`)."""
     layout = view.layout
     bitmap = 0
     for offset in range(layout.neighborhood):
@@ -87,24 +191,3 @@ def reconstruct_bitmap(view: LeafNodeView, home: int,
         if entry.occupied and hash_home(entry.key) == home:
             bitmap |= 1 << offset
     return bitmap
-
-
-def check_hopscotch_bitmap(view: LeafNodeView, home: int, hash_home) -> None:
-    """Level 3: fetched home bitmap must equal the reconstructed one."""
-    stored = view.entry(home).bitmap
-    actual = reconstruct_bitmap(view, home, hash_home)
-    if stored != actual:
-        if BUS.active:
-            BUS.emit("sync.torn", level=3)
-        raise TornReadError(
-            f"hopscotch bitmap of home {home} is {stored:#06x}, keys say "
-            f"{actual:#06x} (in-flight hop)")
-
-
-def collect_leaf_nv(view: LeafNodeView, indices: Sequence[int]) -> List[int]:
-    """NV nibbles visible in a partial leaf view: line bytes + the version
-    bytes of the given (fully fetched) entries."""
-    values = list(view.span.nv_nibbles())
-    for index in indices:
-        values.append(view.entry_nv(index))
-    return values

@@ -274,6 +274,30 @@ class StripedSpan:
         start = self._raw_index(span_off)
         return span_off, bytes(self.data[start:start + span_len])
 
+    def destripe(self) -> Tuple[int, bytes, int, bytes]:
+        """Split the span into its payload and its line version bytes.
+
+        Returns ``(logical_off, payload, first_line, versions)``: the
+        payload bytes in logical order, the first of them at logical
+        offset *logical_off*, and the version byte of every cache line
+        whose start falls inside the span, the first being that of line
+        number *first_line*.
+        """
+        data = self.data
+        line, within = divmod(self.base, LINE)
+        if within:
+            # Starts on a payload byte; the next line's version byte is
+            # the first one inside the span.
+            skip = LINE - within
+            logical_off = line * PAYLOAD_PER_LINE + within - 1
+            line += 1
+        else:
+            skip = 0
+            logical_off = line * PAYLOAD_PER_LINE
+        payload = bytearray(data)
+        del payload[skip::LINE]
+        return logical_off, bytes(payload), line, bytes(data[skip::LINE])
+
     def nv_nibbles(self) -> List[int]:
         """NV nibble of every line version byte in the span."""
         data = self.data

@@ -123,6 +123,32 @@ class TestSearch:
         drive(cluster, gen())
         assert all(1 <= r <= 2 for r in rtts), rtts
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: a search routed by a cached parent to its last "
+        "child (no next-child pointer to compare) chases at most one "
+        "sibling, so keys that moved two or more splits to the right "
+        "are reported absent, and the stale parent is never "
+        "invalidated"))
+    def test_stale_cached_parent_finds_keys_split_to_the_right(self):
+        cluster = Cluster(ClusterConfig(num_cns=2, num_mns=1,
+                                        clients_per_cn=1))
+        index = ChimeIndex(cluster)
+        index.bulk_load([(k, k) for k in range(1, 201)])
+        writer, reader = (index.client(ctx) for ctx in cluster.clients())
+
+        def gen():
+            yield from reader.search(200)  # cache the right-edge parent
+            for key in range(201, 1001):
+                yield from writer.insert(key, key)
+            missing = []
+            for key in range(1, 1001):
+                if (yield from reader.search(key)) != key:
+                    missing.append(key)
+            return missing
+
+        missing, = drive(cluster, gen())
+        assert missing == []
+
 
 class TestInsert:
     def test_insert_then_search(self):

@@ -43,6 +43,14 @@ class TestCli:
         ["run", "fig3d", "--jobs", "0"],
         ["run", "fig3d", "--depth", "0"],
         ["run", "fig3d", "--num-mns", "0"],
+        ["campaign", "run", "--num-mns", "0"],
+        ["campaign", "run", "--depth", "0"],
+        ["campaign", "run", "--span", "0"],
+        ["campaign", "run", "--neighborhood", "0"],
+        ["campaign", "run", "--seeds", "0"],
+        ["campaign", "run", "--jobs", "0"],
+        ["campaign", "run", "--limit", "-1"],
+        ["perf", "--jobs", "0"],
     ])
     def test_bad_count_is_a_usage_error(self, argv, capsys):
         # Rejected by the argument parser: exit 2, one usage line naming

@@ -214,3 +214,85 @@ class TestDetectionIsLoadBearing:
         engine.process(reader())
         engine.run()
         assert torn_seen[0] > 0
+
+
+class TestTornDetectionGolden:
+    """Pins what the reader-side checks see in two seeded races.
+
+    Writers on one CN insert and update while readers on the other CN
+    search, with a random think time between ops so the two sides do
+    not phase-lock in the NIC queues.  Which level caught each torn
+    read, how many retries that cost, and every value the readers got
+    back must stay exactly the same unless the reader checks are meant
+    to change.
+    """
+
+    # (speculative reads, value size, loaded keys, think time, writer
+    #  seed) -> (torn reads caught at levels 1/2/3, retries, reads,
+    #  sha256 of repr(reads))
+    CASES = {
+        "speculative": ((True, 64, 100, 2e-6, 900),
+                        ((2, 2, 0), 6, 1200,
+                         "1b416641031de47e9cef3ab6cee63cc2"
+                         "3760972cddc9d2b84b9bb69ffecb879b")),
+        "neighborhood": ((False, 64, 120, 3e-6, 100),
+                         ((1, 0, 1), 2, 1200,
+                          "c38366591c2385defd630c6681b10faf"
+                          "fdb80e0c339638d99c95a3ea86388133")),
+    }
+
+    @staticmethod
+    def race(speculative, value_size, num_keys, think, writer_seed):
+        import hashlib
+
+        from repro.obs import BUS, MetricsCollector
+
+        cluster = Cluster(ClusterConfig(
+            num_cns=2, num_mns=1, clients_per_cn=4,
+            cache_bytes=1 << 22, region_bytes=1 << 25,
+            mn_nic=SLOW_NIC, seed=5, rdwc=False))
+        index = ChimeIndex(cluster, ChimeConfig(
+            value_size=value_size, speculative_read=speculative,
+            bulk_load_factor=0.95))
+        index.bulk_load([(k, k * 10) for k in range(10, 10 * num_keys + 1,
+                                                    10)])
+        clients = [index.client(ctx) for ctx in cluster.clients()]
+        reads = []
+
+        def writer(client, lane):
+            rng = random.Random(writer_seed + lane)
+            for _ in range(100):
+                key = 10 * rng.randrange(1, num_keys + 1) + 1 + lane
+                yield from client.insert(key, key)
+                yield cluster.engine.timeout(rng.random() * think)
+                key = 10 * rng.randrange(1, num_keys + 1)
+                yield from client.update(key, key * 10)
+
+        def reader(client, seed):
+            rng = random.Random(seed)
+            for _ in range(300):
+                key = rng.randrange(1, num_keys + 1) * 10
+                yield cluster.engine.timeout(rng.random() * think)
+                value = yield from client.search(key)
+                reads.append((key, value))
+
+        collector = MetricsCollector()
+        collector.attach(BUS)
+        try:
+            # Clients 0-3 live on CN 0 (writers), 4-7 on CN 1 (readers).
+            drive(cluster, *[writer(c, i) if i < 4 else reader(c, i)
+                             for i, c in enumerate(clients)])
+        finally:
+            collector.detach()
+        torn = tuple(int(collector.registry.counter(f"sync.torn_l{level}")
+                         .value) for level in (1, 2, 3))
+        digest = hashlib.sha256(repr(reads).encode()).hexdigest()
+        return (torn, cluster.traffic_totals().retries, len(reads),
+                digest), reads
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_torn_counts_retries_and_values_pinned(self, case):
+        params, expected = self.CASES[case]
+        observed, reads = self.race(*params)
+        assert all(value == key * 10 for key, value in reads)
+        assert observed == expected
